@@ -341,6 +341,31 @@ fn bench_round_trip() {
 }
 
 #[test]
+fn bench_write_lists_inverters_in_literal_order() {
+    // Inputs are created in reverse alphabetical order, so literal
+    // order and name order disagree; every input, one AND and the
+    // output appear complemented.
+    let mut aig = Aig::new();
+    let z = aig.add_input("z");
+    let y = aig.add_input("y");
+    let x = aig.add_input("x");
+    let w = aig.add_input("w");
+    let t = aig.and(!w, !z);
+    let u = aig.and(!x, !y);
+    let f = aig.and(!t, u);
+    aig.add_output("f", !f);
+    let text = bench_io::write(&aig);
+    let nots: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains(" = NOT("))
+        .map(|l| l.split(" = ").next().unwrap())
+        .collect();
+    let t_inv = format!("n{}_inv", t.node().index());
+    let f_inv = format!("n{}_inv", f.node().index());
+    assert_eq!(nots, ["z_inv", "y_inv", "x_inv", "w_inv", &t_inv, &f_inv]);
+}
+
+#[test]
 fn bench_round_trip_sequential() {
     let mut aig = Aig::new();
     let a = aig.add_input("a");

@@ -19,6 +19,8 @@
 //! clause bank's cluster channel reuses across; combined with
 //! `--copies` it stresses both reuse channels at once.
 
+use std::io::Write;
+
 use step_circuits::{registry_all, with_permuted_copies, with_shared_substructure, Scale};
 
 const USAGE: &str = "usage: gen_circuit <name> [--scale smoke|default|full] \
@@ -84,9 +86,13 @@ fn main() {
 
     let entries = registry_all();
     if list {
+        // A reader that stops early (`--list | head -1`) closes the
+        // pipe; stop quietly at the first failed write.
+        let mut out = std::io::stdout().lock();
         for e in &entries {
             let aig = e.build(scale);
-            println!(
+            let line = writeln!(
+                out,
                 "{:<12} {:<10} {:>4} inputs {:>4} outputs {:>6} ANDs",
                 e.name,
                 e.suite,
@@ -94,6 +100,9 @@ fn main() {
                 aig.num_outputs(),
                 aig.and_count()
             );
+            if line.is_err() {
+                break;
+            }
         }
         return;
     }

@@ -266,7 +266,8 @@ struct BankShard {
 ///
 /// Create one, wrap it in an [`Arc`] and attach it to engines
 /// ([`crate::BiDecomposer::set_clause_bank`]) or services
-/// ([`crate::StepService::spawn_with_bank`]) to share donations across
+/// (as tier 0 of the [`TieredStore`](crate::TieredStore) given to
+/// [`crate::StepService::spawn_with_store`]) to share donations across
 /// outputs, circuits, models and whole sweeps.
 pub struct ClauseBank {
     shards: Vec<Mutex<BankShard>>,

@@ -53,6 +53,9 @@
 //!   one get/put/scan interface, with the in-memory structures as
 //!   tier 0 and an optional persistent, mergeable disk tier
 //!   ([`DecompConfig::cache_dir`]) that warm-starts later runs;
+//! * [`cli`] — the options every command-line front end shares:
+//!   model/operator names, engine and budget flags, and the reuse
+//!   flags that build the run's one [`TieredStore`];
 //! * [`predict`] / [`tenant`] — the multi-tenant layer under the
 //!   `step-serve` network front-end: a conflict-cost estimator
 //!   (fingerprint history + support-bucket EWMAs) feeding the
@@ -63,6 +66,7 @@
 
 pub mod cache;
 pub mod clause_bank;
+pub mod cli;
 pub mod effort;
 pub mod engine;
 pub mod extract;
@@ -90,7 +94,7 @@ pub use effort::{CallLimits, CircuitBudget, EffortMeter, WorkLedger, WorkPool};
 pub use engine::{BiDecomposer, CircuitResult, OutputResult, StepError};
 pub use extract::{extract, extract_by_quantification, Decomposition, ExtractError};
 pub use job::{cone_seed, OutputJob};
-pub use network::{decompose_tree, DecompTree, TreeNode, TreeOptions};
+pub use network::{DecompTree, TreeNode};
 pub use partition::{VarClass, VarPartition};
 pub use predict::CostModel;
 pub use service::{

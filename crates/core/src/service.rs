@@ -491,46 +491,19 @@ impl fmt::Debug for StepService {
 
 impl StepService {
     /// Spawns a service with `workers` persistent worker threads (at
-    /// least one) and no result cache.
+    /// least one) and no reuse surfaces.
     pub fn new(workers: usize) -> Self {
-        Self::spawn(workers, None)
+        Self::spawn_with_store(workers, Arc::new(TieredStore::default()))
     }
 
-    /// Spawns a service whose sessions share `cache` across every
-    /// submission — the long-running analogue of
-    /// [`BiDecomposer::set_cache`](crate::BiDecomposer::set_cache).
-    pub fn with_cache(workers: usize, cache: Arc<ResultCache>) -> Self {
-        Self::spawn(workers, Some(cache))
-    }
-
-    /// The general constructor behind [`new`](StepService::new) and
-    /// [`with_cache`](StepService::with_cache): `workers` persistent
-    /// threads (at least one) and an optional shared result cache —
-    /// for callers that already hold an `Option<Arc<ResultCache>>`.
-    pub fn spawn(workers: usize, cache: Option<Arc<ResultCache>>) -> Self {
-        Self::spawn_with_bank(workers, cache, None)
-    }
-
-    /// [`spawn`](StepService::spawn) with an optional service-wide
-    /// clause bank: submissions with
+    /// Spawns `workers` persistent threads (at least one) over an
+    /// already-assembled [`TieredStore`] that every submission shares:
+    /// its result cache, its clause bank (for submissions with
     /// [`DecompConfig::clause_reuse`](crate::spec::DecompConfig::clause_reuse)
-    /// set donate and draw learnt clauses through it, sharing them
-    /// across circuits and models the way the result cache shares
-    /// solved outcomes. Without a bank, each reuse submission still
-    /// gets a submission-scoped one.
-    pub fn spawn_with_bank(
-        workers: usize,
-        cache: Option<Arc<ResultCache>>,
-        bank: Option<Arc<ClauseBank>>,
-    ) -> Self {
-        Self::spawn_with_store(workers, Arc::new(TieredStore::memory(cache, bank)))
-    }
-
-    /// The most general constructor: `workers` persistent threads over
-    /// an already-assembled [`TieredStore`] — the way to give a service
-    /// a persistent tier (build the store with
-    /// [`TieredStore::with_disk`], which loads the directory once; the
-    /// service flushes dirty entries at shutdown and on
+    /// set; without one, each reuse submission gets a
+    /// submission-scoped bank) and its persistent tier (build the store
+    /// with [`TieredStore::with_disk`], which loads the directory once;
+    /// the service flushes dirty entries at shutdown and on
     /// [`flush`](StepService::flush)).
     pub fn spawn_with_store(workers: usize, store: Arc<TieredStore>) -> Self {
         let shared = Arc::new(ServiceShared {

@@ -321,8 +321,9 @@ impl BudgetPolicy {
             && self.per_circuit.is_deterministic()
     }
 
-    /// The command-line rule shared by the `step` CLI and the harness
-    /// binaries: a pure-work per-output budget promises
+    /// The command-line rule every front end applies through
+    /// [`BudgetFlags::resolve`](crate::cli::BudgetFlags::resolve): a
+    /// pure-work per-output budget promises
     /// machine-independent results, which the default *wall* limits on
     /// the other scopes would silently break (a slow host trips the
     /// per-call wall inside a QBF solve where a fast one finishes).

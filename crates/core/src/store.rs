@@ -56,7 +56,7 @@ use crate::cache::{CacheKey, CachedResult, ResultCache};
 use crate::clause_bank::{ClauseBank, OraclePool, ProbeCfg, ProbeVerdict, ReuseCtx};
 use crate::partition::VarClass;
 use crate::qbf_model::Target;
-use crate::spec::{DecompConfig, GateOp, Model, SearchStrategy};
+use crate::spec::{DecompConfig, GateOp, SearchStrategy};
 
 /// Which reuse surface an artifact belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -115,13 +115,7 @@ pub struct ConfigKey(String);
 impl ConfigKey {
     /// The result namespace: exactly the [`CacheKey`] config fields.
     pub fn results(config: &DecompConfig) -> Self {
-        let model = match config.model {
-            Model::Ljh => "ljh",
-            Model::MusGroup => "mg",
-            Model::QbfDisjoint => "qd",
-            Model::QbfBalanced => "qb",
-            Model::QbfCombined => "qdb",
-        };
+        let model = config.model.name();
         let strategy = match config.effective_strategy() {
             SearchStrategy::MonotoneIncreasing => "mi",
             SearchStrategy::MonotoneDecreasing => "md",

@@ -65,7 +65,7 @@ fn main() {
     if drat_out.is_some() {
         solver.enable_proof();
     }
-    solver.set_conflict_budget(conflicts);
+    solver.set_effort_budget(conflicts);
     solver.add_cnf(&cnf);
     match solver.solve() {
         SolveResult::Sat => {

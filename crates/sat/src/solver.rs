@@ -487,12 +487,6 @@ impl Solver {
         self.conflict_budget = conflicts;
     }
 
-    /// Alias of [`Solver::set_effort_budget`], kept for callers of the
-    /// original conflict-budget name.
-    pub fn set_conflict_budget(&mut self, conflicts: Option<u64>) {
-        self.set_effort_budget(conflicts);
-    }
-
     /// Sets a wall-clock deadline for subsequent solve calls
     /// (`None` = no deadline).
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {

@@ -308,10 +308,10 @@ fn conflict_budget_reports_unknown() {
     for c in &clauses {
         s.add_clause(c.iter().copied());
     }
-    s.set_conflict_budget(Some(5));
+    s.set_effort_budget(Some(5));
     assert_eq!(s.solve(), SolveResult::Unknown);
     // Remove the budget: solvable again.
-    s.set_conflict_budget(None);
+    s.set_effort_budget(None);
     assert_eq!(s.solve(), SolveResult::Unsat);
 }
 

@@ -17,7 +17,8 @@ use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::Path;
 
-use step_core::Model;
+use step_core::cli::{help, unknown, usage_error, Args, BudgetFlags, EngineFlags};
+use step_core::{GateOp, Model};
 
 use crate::frame::{read_frame, write_frame};
 use crate::proto::{ClientFrame, ErrorCode, OutputRow, ServerFrame, SubmitRequest, PROTO_VERSION};
@@ -38,119 +39,49 @@ struct ClientCli {
     path: String,
     tenant: Option<String>,
     model: Model,
-    model_name: String,
-    op: String,
-    seed: Option<u64>,
-    sat_restarts: Option<String>,
-    sat_preprocess: bool,
-    budget: Option<String>,
-    circuit_budget: Option<String>,
-    qbf_budget: Option<String>,
+    op: GateOp,
+    engine: EngineFlags,
+    budgets: BudgetFlags,
     deadline_ms: Option<u64>,
     no_timing: bool,
     shutdown: bool,
 }
 
-fn usage() -> ! {
-    eprintln!("{CLIENT_USAGE}");
-    std::process::exit(2)
-}
-
-fn parse_cli(args: &[String]) -> ClientCli {
+fn parse_cli(args: &[String]) -> Result<ClientCli, String> {
     let mut cli = ClientCli {
         addr: String::new(),
         path: String::new(),
         tenant: None,
         model: Model::QbfDisjoint,
-        model_name: "qd".to_owned(),
-        op: "or".to_owned(),
-        seed: None,
-        sat_restarts: None,
-        sat_preprocess: false,
-        budget: None,
-        circuit_budget: None,
-        qbf_budget: None,
+        op: GateOp::Or,
+        engine: EngineFlags::default(),
+        budgets: BudgetFlags::default(),
         deadline_ms: None,
         no_timing: false,
         shutdown: false,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tenant" => {
-                i += 1;
-                match args.get(i) {
-                    Some(t) => cli.tenant = Some(t.clone()),
-                    None => usage(),
-                }
-            }
-            "--model" => {
-                i += 1;
-                let name = args.get(i).map(String::as_str);
-                cli.model = match name {
-                    Some("ljh") => Model::Ljh,
-                    Some("mg") => Model::MusGroup,
-                    Some("qd") => Model::QbfDisjoint,
-                    Some("qb") => Model::QbfBalanced,
-                    Some("qdb") => Model::QbfCombined,
-                    _ => usage(),
-                };
-                cli.model_name = name.expect("matched above").to_owned();
-            }
-            "--op" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some(op @ ("or" | "and" | "xor")) => cli.op = op.to_owned(),
-                    _ => usage(),
-                }
-            }
-            "--seed" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(seed) => cli.seed = Some(seed),
-                    None => usage(),
-                }
-            }
-            "--sat-restarts" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => cli.sat_restarts = Some(p.clone()),
-                    None => usage(),
-                }
-            }
-            "--sat-preprocess" => cli.sat_preprocess = true,
-            flag @ ("--budget" | "--circuit-budget" | "--qbf-budget") => {
-                i += 1;
-                let Some(spec) = args.get(i) else { usage() };
-                match flag {
-                    "--budget" => cli.budget = Some(spec.clone()),
-                    "--circuit-budget" => cli.circuit_budget = Some(spec.clone()),
-                    _ => cli.qbf_budget = Some(spec.clone()),
-                }
-            }
-            "--deadline-ms" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(ms) => cli.deadline_ms = Some(ms),
-                    None => usage(),
-                }
-            }
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--tenant" => cli.tenant = Some(args.value(&arg)?),
+            "--model" => cli.model = args.parse(&arg)?,
+            "--op" => cli.op = args.parse(&arg)?,
+            "--deadline-ms" => cli.deadline_ms = Some(args.parse(&arg)?),
             "--no-timing" => cli.no_timing = true,
             "--shutdown" => cli.shutdown = true,
-            "--help" | "-h" => {
-                println!("{CLIENT_USAGE}");
-                std::process::exit(0)
-            }
+            "--help" | "-h" => help(CLIENT_USAGE),
+            // The engine and budget values travel as given; the server
+            // resolves them exactly as an in-process run would.
+            flag if cli.engine.take(flag, &mut args)? || cli.budgets.take(flag, &mut args)? => {}
             other if !other.starts_with('-') && cli.addr.is_empty() => cli.addr = other.to_owned(),
             other if !other.starts_with('-') && cli.path.is_empty() => cli.path = other.to_owned(),
-            _ => usage(),
+            other => return Err(unknown(other)),
         }
-        i += 1;
     }
     if cli.addr.is_empty() || (cli.path.is_empty() && !cli.shutdown) {
-        usage();
+        return Err(String::new());
     }
-    cli
+    Ok(cli)
 }
 
 /// The wire format tag for a circuit path, by extension. Binary AIGER
@@ -175,7 +106,7 @@ fn fail(message: &str) -> ! {
 /// `step client ...` entry point: parses flags, runs one request,
 /// exits with the documented code.
 pub fn main(args: &[String]) -> ! {
-    let cli = parse_cli(args);
+    let cli = parse_cli(args).unwrap_or_else(|why| usage_error(CLIENT_USAGE, &why));
     let stream = match TcpStream::connect(&cli.addr) {
         Ok(s) => s,
         Err(e) => fail(&format!("connect {}: {e}", cli.addr)),
@@ -237,14 +168,14 @@ pub fn main(args: &[String]) -> ! {
             req: 1,
             format: format.to_owned(),
             circuit,
-            op: cli.op.clone(),
-            model: cli.model_name.clone(),
-            budget: cli.budget.clone(),
-            circuit_budget: cli.circuit_budget.clone(),
-            qbf_budget: cli.qbf_budget.clone(),
-            seed: cli.seed,
-            sat_restarts: cli.sat_restarts.clone(),
-            sat_preprocess: cli.sat_preprocess,
+            op: cli.op.name().to_owned(),
+            model: cli.model.name().to_owned(),
+            budget: cli.budgets.per_output.clone(),
+            circuit_budget: cli.budgets.per_circuit.clone(),
+            qbf_budget: cli.budgets.per_qbf_call.clone(),
+            seed: cli.engine.seed,
+            sat_restarts: cli.engine.sat_restarts.clone(),
+            sat_preprocess: cli.engine.sat_preprocess,
             deadline_ms: cli.deadline_ms,
         })),
     );

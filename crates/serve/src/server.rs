@@ -1,6 +1,6 @@
 //! The server side of `step serve`: a TCP accept loop feeding one
-//! shared [`StepService`] + [`TieredStore`], with per-tenant admission
-//! control in front of it.
+//! shared [`StepService`] + [`TieredStore`](step_core::TieredStore),
+//! with per-tenant admission control in front of it.
 //!
 //! ## Shape
 //!
@@ -33,15 +33,16 @@
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use step_aig::{aiger, bench_io, blif, canonicalize, Aig};
+use step_core::cli::{self, Args, BudgetFlags, EngineFlags, ReuseFlags};
 use step_core::{
-    Budget, Canceller, CostModel, DecompConfig, GateOp, Model, ResultCache, StepError, StepService,
-    SubmitOptions, TenantLedger, TieredStore, WorkReservation,
+    Canceller, CostModel, DecompConfig, GateOp, StepError, StepService, SubmitOptions,
+    TenantLedger, WorkReservation,
 };
 
 use crate::frame::{read_frame, write_frame};
@@ -64,7 +65,7 @@ pub struct ServerOptions {
     /// Refuse submissions once this many are queued unstarted.
     pub max_queue: usize,
     /// Persistent artifact store directory (warm starts across server
-    /// restarts).
+    /// restarts); `step serve --cache-dir` vets it before binding.
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -89,68 +90,7 @@ const SERVE_USAGE: &str = "usage: step serve [--addr host:port] [--jobs n] [--qu
 
 /// `step serve ...` entry point: parses flags, runs the server, exits.
 pub fn main(args: &[String]) -> ! {
-    let mut opts = ServerOptions::default();
-    let usage = || -> ! {
-        eprintln!("{SERVE_USAGE}");
-        std::process::exit(2)
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                match args.get(i) {
-                    Some(a) => opts.addr = a.clone(),
-                    None => usage(),
-                }
-            }
-            "--jobs" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => opts.jobs = n,
-                    _ => usage(),
-                }
-            }
-            "--quota" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(q) => opts.default_quota = q,
-                    None => usage(),
-                }
-            }
-            "--tenant-quota" => {
-                i += 1;
-                let parsed = args.get(i).and_then(|s| {
-                    let (name, q) = s.split_once('=')?;
-                    Some((name.to_owned(), q.parse().ok()?))
-                });
-                match parsed {
-                    Some(tq) => opts.tenant_quotas.push(tq),
-                    None => usage(),
-                }
-            }
-            "--max-queue" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) => opts.max_queue = n,
-                    None => usage(),
-                }
-            }
-            "--cache-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => opts.cache_dir = Some(PathBuf::from(p)),
-                    None => usage(),
-                }
-            }
-            "--help" | "-h" => {
-                println!("{SERVE_USAGE}");
-                std::process::exit(0)
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
+    let opts = parse_cli(args).unwrap_or_else(|why| cli::usage_error(SERVE_USAGE, &why));
     match run(&opts) {
         Ok(()) => std::process::exit(0),
         Err(e) => {
@@ -158,6 +98,33 @@ pub fn main(args: &[String]) -> ! {
             std::process::exit(1)
         }
     }
+}
+
+fn parse_cli(args: &[String]) -> Result<ServerOptions, String> {
+    let mut opts = ServerOptions::default();
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--addr" => opts.addr = args.value(&arg)?,
+            "--jobs" => opts.jobs = args.positive(&arg)?,
+            "--quota" => opts.default_quota = args.parse(&arg)?,
+            "--tenant-quota" => {
+                let spec = args.value(&arg)?;
+                let parsed = spec
+                    .split_once('=')
+                    .and_then(|(name, q)| Some((name.to_owned(), q.parse().ok()?)));
+                opts.tenant_quotas
+                    .push(parsed.ok_or_else(|| format!("--tenant-quota: bad value {spec:?}"))?);
+            }
+            "--max-queue" => opts.max_queue = args.parse(&arg)?,
+            "--cache-dir" => {
+                opts.cache_dir = Some(cli::vet_cache_dir(Path::new(&args.value(&arg)?))?)
+            }
+            "--help" | "-h" => cli::help(SERVE_USAGE),
+            other => return Err(cli::unknown(other)),
+        }
+    }
+    Ok(opts)
 }
 
 /// Everything a connection thread needs, shared by all of them.
@@ -177,23 +144,22 @@ struct ServerCtx {
 /// cannot be opened; per-connection I/O errors only drop that
 /// connection.
 pub fn run(opts: &ServerOptions) -> std::io::Result<()> {
+    // Same reuse defaults as the CLI: result cache on, clause bank
+    // off, disk tier when asked. One store serves every connection —
+    // cross-request reuse changes conflict counts, never answers. It
+    // loads before the bind, so a bad store never follows the banner.
+    let store = ReuseFlags {
+        cache_dir: opts.cache_dir.clone(),
+        ..ReuseFlags::default()
+    }
+    .build_store()
+    .map_err(std::io::Error::other)?;
     let listener = TcpListener::bind(&opts.addr)?;
     let addr = listener.local_addr()?;
     // The one contractual stdout line: harnesses scrape the port from
     // it (`--addr 127.0.0.1:0`), so print-and-flush before accepting.
     println!("listening on {addr}");
     std::io::stdout().flush()?;
-
-    // Same reuse defaults as the CLI: result cache on, clause bank
-    // off, disk tier when asked. One store serves every connection —
-    // cross-request reuse changes conflict counts, never answers.
-    let cache = Some(Arc::new(ResultCache::new()));
-    let store = match &opts.cache_dir {
-        Some(dir) => {
-            Arc::new(TieredStore::with_disk(cache, None, dir).map_err(std::io::Error::other)?)
-        }
-        None => Arc::new(TieredStore::memory(cache, None)),
-    };
     let tenants = Arc::new(TenantLedger::new(opts.default_quota));
     for (tenant, quota) in &opts.tenant_quotas {
         tenants.set_quota(tenant, *quota);
@@ -218,11 +184,8 @@ pub fn run(opts: &ServerOptions) -> std::io::Result<()> {
     for conn in connections {
         let _ = conn.join();
     }
-    // Persist what the run learnt; losing the flush costs the next
-    // server's warm start, not any answer already streamed.
-    if let Err(e) = ctx.service.flush() {
-        eprintln!("warning: cache flush failed: {e}");
-    }
+    // Persist what the run learnt for the next server's warm start.
+    cli::flush_store(ctx.service.store());
     Ok(())
 }
 
@@ -309,51 +272,25 @@ fn parse_circuit(format: &str, text: &str) -> Result<Result<Aig, String>, String
     })
 }
 
-/// Builds the engine configuration from a submit frame, applying the
-/// same defaulting rules as the CLI (including the pure-work
-/// wall-lift), so remote and local runs are configured identically.
+/// Builds the engine configuration from a submit frame through the
+/// same option groups the CLI resolves its flags with (including the
+/// pure-work wall-lift), so remote and local runs are configured
+/// identically.
 fn build_config(request: &SubmitRequest) -> Result<(GateOp, DecompConfig), String> {
-    let op = match request.op.as_str() {
-        "or" => GateOp::Or,
-        "and" => GateOp::And,
-        "xor" => GateOp::Xor,
-        other => return Err(format!("unknown op {other:?}")),
-    };
-    let model = match request.model.as_str() {
-        "ljh" => Model::Ljh,
-        "mg" => Model::MusGroup,
-        "qd" => Model::QbfDisjoint,
-        "qb" => Model::QbfBalanced,
-        "qdb" => Model::QbfCombined,
-        other => return Err(format!("unknown model {other:?}")),
-    };
-    let mut config = DecompConfig::new(model);
-    let mut qbf_set = false;
-    let mut circuit_set = false;
-    if let Some(spec) = &request.budget {
-        config.budget.per_output = Budget::parse(spec).map_err(|e| format!("budget: {e}"))?;
+    let op = request.op.parse()?;
+    let mut config = DecompConfig::new(request.model.parse()?);
+    EngineFlags {
+        seed: request.seed,
+        sat_restarts: request.sat_restarts.clone(),
+        sat_preprocess: request.sat_preprocess,
     }
-    if let Some(spec) = &request.circuit_budget {
-        config.budget.per_circuit =
-            Budget::parse(spec).map_err(|e| format!("circuit_budget: {e}"))?;
-        circuit_set = true;
+    .apply(&mut config)?;
+    config.budget = BudgetFlags {
+        per_output: request.budget.clone(),
+        per_circuit: request.circuit_budget.clone(),
+        per_qbf_call: request.qbf_budget.clone(),
     }
-    if let Some(spec) = &request.qbf_budget {
-        config.budget.per_qbf_call = Budget::parse(spec).map_err(|e| format!("qbf_budget: {e}"))?;
-        qbf_set = true;
-    }
-    config
-        .budget
-        .lift_unset_walls_for_pure_work(qbf_set, circuit_set);
-    if let Some(seed) = request.seed {
-        config.seed = seed;
-    }
-    if let Some(policy) = &request.sat_restarts {
-        config.sat_restarts = policy
-            .parse()
-            .map_err(|_| format!("unknown restart policy {policy:?}"))?;
-    }
-    config.sat_preprocess = request.sat_preprocess;
+    .resolve(config.budget)?;
     Ok((op, config))
 }
 

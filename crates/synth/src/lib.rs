@@ -4,9 +4,8 @@
 //! The paper motivates bi-decomposition as the inner step of
 //! multi-level logic synthesis: recursively split each primary output
 //! until the leaves are primitive, yielding a network of two-input
-//! OR/AND/XOR gates. [`step_core::decompose_tree`] prototypes that
-//! flow as a sequential recursion over one private engine; this crate
-//! is the production version:
+//! OR/AND/XOR gates into a [`DecompTree`]. This crate runs that
+//! recursion:
 //!
 //! * [`SynthDriver`] submits every frontier cone through a shared
 //!   [`StepService`], so the recursion parallelizes across the
@@ -673,8 +672,7 @@ fn probe_budget(per_node: Budget, slice: Option<u64>) -> Budget {
     }
 }
 
-/// A leaf over original inputs, compacted like
-/// [`step_core::decompose_tree`]'s leaves.
+/// A leaf over original inputs, compacted.
 fn leaf_outcome(node: &Node) -> Outcome {
     Outcome::Leaf(node.sub.compact(), node.orig_inputs.clone())
 }
@@ -730,9 +728,10 @@ mod tests {
     use step_core::Model;
 
     fn service() -> StepService {
-        StepService::spawn(
+        let cache = std::sync::Arc::new(step_core::ResultCache::default());
+        StepService::spawn_with_store(
             2,
-            Some(std::sync::Arc::new(step_core::ResultCache::default())),
+            std::sync::Arc::new(step_core::TieredStore::memory(Some(cache), None)),
         )
     }
 
@@ -769,6 +768,25 @@ mod tests {
         assert!(out.tree.num_gates() >= 2, "\n{}", out.tree.render());
         assert!(out.tree.max_leaf_support() <= 2);
         assert!(network_equivalent(&aig, 0, &out.tree, None).is_ok());
+
+        // A mixed OR/AND/XOR function: the tree evaluates, and rebuilds
+        // as an AIG, to the same truth table over every assignment.
+        // f = ((x0 ^ x1) & x2) | (x3 & x4).
+        let mut aig = Aig::new();
+        let xs: Vec<AigLit> = (0..5).map(|i| aig.add_input(format!("x{i}"))).collect();
+        let x01 = aig.xor(xs[0], xs[1]);
+        let l = aig.and(x01, xs[2]);
+        let r = aig.and(xs[3], xs[4]);
+        let f = aig.or(l, r);
+        aig.add_output("f", f);
+        let out = drv.synthesize(&aig, 0).unwrap();
+        assert!(out.tree.num_gates() >= 2, "\n{}", out.tree.render());
+        let net = out.tree.to_aig();
+        for m in 0..1usize << 5 {
+            let v: Vec<bool> = (0..5).map(|i| m >> i & 1 == 1).collect();
+            assert_eq!(out.tree.eval(&v), aig.eval(&v)[0], "tree at {v:?}");
+            assert_eq!(net.eval(&v)[0], aig.eval(&v)[0], "to_aig at {v:?}");
+        }
     }
 
     #[test]

@@ -104,41 +104,37 @@
 //! [`StepService`]: qbf_bidec::step::StepService
 
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Duration;
 
+use qbf_bidec::aig::Aig;
 use qbf_bidec::circuits::load_file;
 use qbf_bidec::serve::table;
+use qbf_bidec::step::cli::{
+    flush_store, help, stats_lines, unknown, usage_error, Args, BudgetFlags, EngineFlags,
+    ReuseFlags,
+};
 use qbf_bidec::step::optimum::Metric;
 use qbf_bidec::step::oracle::CoreFormula;
 use qbf_bidec::step::qbf_model::Target;
 use qbf_bidec::step::qdimacs_export::{export_qdimacs, ExportOptions};
 use qbf_bidec::step::{
-    BiDecomposer, Budget, BudgetPolicy, ClauseBank, DecompConfig, DiskTier, EffortMeter, GateOp,
-    Model, OutputResult, RestartPolicy, ResultCache, StepService, TieredStore,
+    BiDecomposer, Budget, BudgetPolicy, DecompConfig, DiskTier, EffortMeter, GateOp, Model,
+    OutputResult, StepService,
 };
 use qbf_bidec::synth::{SynthDriver, SynthOptions, SynthOutput};
 
 struct Cli {
     path: String,
-    model: Model,
     op: GateOp,
     weights: Option<(u32, u32)>,
     output: Option<usize>,
-    jobs: usize,
     progress: bool,
-    seed: Option<u64>,
-    sat_restarts: RestartPolicy,
-    sat_preprocess: bool,
-    cache: bool,
-    cache_cap: Option<usize>,
-    clause_reuse: bool,
-    clause_bank_cap: Option<usize>,
-    cache_dir: Option<std::path::PathBuf>,
     no_timing: bool,
     emit_qdimacs: bool,
     emit_blif: bool,
-    budget: BudgetPolicy,
+    /// Model, jobs, engine flags, budgets and clause reuse.
+    config: DecompConfig,
+    reuse: ReuseFlags,
 }
 
 const USAGE: &str = "usage: step <circuit.{bench,blif,aag}> [--model ljh|mg|qd|qb|qdb] \
@@ -148,8 +144,7 @@ const USAGE: &str = "usage: step <circuit.{bench,blif,aag}> [--model ljh|mg|qd|q
                      [--clause-reuse] [--no-clause-reuse] [--clause-bank-cap n] \
                      [--cache-dir path] \
                      [--no-timing] [--emit-qdimacs] [--emit-blif] \
-                     [--budget spec] [--circuit-budget spec] [--qbf-budget spec] \
-                     [--per-call-ms n] [--per-output-s n]\n\
+                     [--budget spec] [--circuit-budget spec] [--qbf-budget spec]\n\
                      or:    step cache stats <dir> | merge <out> <in>... | verify <dir>\n\
                      or:    step serve [--addr host:port] ... (see step serve --help)\n\
                      or:    step client <host:port> <circuit> ... (see step client --help)\n\
@@ -157,235 +152,87 @@ const USAGE: &str = "usage: step <circuit.{bench,blif,aag}> [--model ljh|mg|qd|q
                      budget spec: wall:<dur> | work:<conflicts> | both:<dur>,<conflicts> \
                      | unlimited (e.g. --budget work:200k for deterministic truncation)";
 
-/// Bad invocation: usage on stderr, exit 2.
-fn usage() -> ! {
-    eprintln!("{USAGE}");
-    std::process::exit(2)
-}
-
-/// Explicitly requested help: usage on stdout, exit 0.
-fn help() -> ! {
-    println!("{USAGE}");
-    std::process::exit(0)
-}
-
-fn parse_cli() -> Cli {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn parse_cli(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         path: String::new(),
-        model: Model::QbfDisjoint,
         op: GateOp::Or,
         weights: None,
         output: None,
-        jobs: 1,
         progress: false,
-        seed: None,
-        sat_restarts: RestartPolicy::default(),
-        sat_preprocess: false,
-        cache: true,
-        cache_cap: None,
-        clause_reuse: false,
-        clause_bank_cap: None,
-        cache_dir: None,
         no_timing: false,
         emit_qdimacs: false,
         emit_blif: false,
-        budget: BudgetPolicy::default(),
+        config: DecompConfig::new(Model::QbfDisjoint),
+        reuse: ReuseFlags::default(),
     };
-    // Whether the user explicitly chose per-call/per-circuit budgets
-    // (any spelling): a pure-work `--budget` lifts unset wall defaults
-    // below so the determinism promise holds.
-    let mut qbf_budget_set = false;
-    let mut circuit_budget_set = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--model" => {
-                i += 1;
-                cli.model = match args.get(i).map(String::as_str) {
-                    Some("ljh") => Model::Ljh,
-                    Some("mg") => Model::MusGroup,
-                    Some("qd") => Model::QbfDisjoint,
-                    Some("qb") => Model::QbfBalanced,
-                    Some("qdb") => Model::QbfCombined,
-                    _ => usage(),
-                };
-            }
-            "--op" => {
-                i += 1;
-                cli.op = match args.get(i).map(String::as_str) {
-                    Some("or") => GateOp::Or,
-                    Some("and") => GateOp::And,
-                    Some("xor") => GateOp::Xor,
-                    _ => usage(),
-                };
-            }
-            "--weights" => {
-                let wd = args.get(i + 1).and_then(|s| s.parse().ok());
-                let wb = args.get(i + 2).and_then(|s| s.parse().ok());
-                match (wd, wb) {
-                    (Some(wd), Some(wb)) => cli.weights = Some((wd, wb)),
-                    _ => usage(),
-                }
-                i += 2;
-            }
-            "--output" => {
-                i += 1;
-                cli.output = args.get(i).and_then(|s| s.parse().ok());
-                if cli.output.is_none() {
-                    usage();
-                }
-            }
-            "--jobs" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => cli.jobs = n,
-                    _ => usage(),
-                }
-            }
+    let mut engine = EngineFlags::default();
+    let mut budgets = BudgetFlags::default();
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--model" => cli.config.model = args.parse(&arg)?,
+            "--op" => cli.op = args.parse(&arg)?,
+            "--weights" => cli.weights = Some((args.parse(&arg)?, args.parse(&arg)?)),
+            "--output" => cli.output = Some(args.parse(&arg)?),
+            "--jobs" => cli.config.jobs = args.positive(&arg)?,
             "--progress" => cli.progress = true,
-            "--seed" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(s) => cli.seed = Some(s),
-                    None => usage(),
-                }
-            }
-            "--sat-restarts" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(p) => cli.sat_restarts = p,
-                    None => usage(),
-                }
-            }
-            "--sat-preprocess" => cli.sat_preprocess = true,
-            "--cache" => cli.cache = true,
-            "--no-cache" => cli.cache = false,
-            "--cache-cap" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => {
-                        cli.cache = true;
-                        cli.cache_cap = Some(n);
-                    }
-                    _ => usage(),
-                }
-            }
-            "--clause-reuse" => cli.clause_reuse = true,
-            "--no-clause-reuse" => cli.clause_reuse = false,
-            "--clause-bank-cap" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => {
-                        cli.clause_reuse = true;
-                        cli.clause_bank_cap = Some(n);
-                    }
-                    _ => usage(),
-                }
-            }
-            "--cache-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => cli.cache_dir = Some(validated_cache_dir(Path::new(p))),
-                    None => usage(),
-                }
-            }
             "--no-timing" => cli.no_timing = true,
             "--emit-qdimacs" => cli.emit_qdimacs = true,
             "--emit-blif" => cli.emit_blif = true,
-            // Budgets: `--budget` is the per-output limit, the paper's
-            // central truncation knob; a malformed spec reports why and
-            // exits 2 with the usage message (never a panic).
-            flag @ ("--budget" | "--circuit-budget" | "--qbf-budget") => {
-                i += 1;
-                match args.get(i).map(|s| Budget::parse(s)) {
-                    Some(Ok(b)) => match flag {
-                        "--budget" => cli.budget.per_output = b,
-                        "--circuit-budget" => {
-                            cli.budget.per_circuit = b;
-                            circuit_budget_set = true;
-                        }
-                        _ => {
-                            cli.budget.per_qbf_call = b;
-                            qbf_budget_set = true;
-                        }
-                    },
-                    Some(Err(e)) => {
-                        eprintln!("{flag}: {e}");
-                        usage();
-                    }
-                    None => usage(),
-                }
-            }
-            // Legacy wall-clock spellings of the same knobs.
-            "--per-call-ms" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(ms) => {
-                        cli.budget.per_qbf_call = Budget::Wall(Duration::from_millis(ms));
-                        qbf_budget_set = true;
-                    }
-                    None => usage(),
-                }
-            }
-            "--per-output-s" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(s) => cli.budget.per_output = Budget::Wall(Duration::from_secs(s)),
-                    None => usage(),
-                }
-            }
-            "--help" | "-h" => help(),
+            "--help" | "-h" => help(USAGE),
+            flag if engine.take(flag, &mut args)?
+                || budgets.take(flag, &mut args)?
+                || cli.reuse.take(flag, &mut args)? => {}
             other if cli.path.is_empty() && !other.starts_with('-') => {
                 cli.path = other.to_owned();
             }
-            _ => usage(),
+            other => return Err(unknown(other)),
         }
-        i += 1;
     }
     if cli.path.is_empty() {
-        usage();
+        return Err(String::new());
     }
-    cli.budget
-        .lift_unset_walls_for_pure_work(qbf_budget_set, circuit_budget_set);
-    cli
+    engine.apply(&mut cli.config)?;
+    cli.config.budget = budgets.resolve(BudgetPolicy::default())?;
+    cli.config.clause_reuse = cli.reuse.clause_reuse;
+    Ok(cli)
 }
 
-/// Vets a `--cache-dir` argument up front: the path must be (or become)
-/// a writable directory, and a bad one is a usage error (exit 2) before
-/// any solving starts — not a surprise after an hour of work.
-fn validated_cache_dir(path: &Path) -> std::path::PathBuf {
-    if path.exists() && !path.is_dir() {
-        eprintln!("--cache-dir: {} is not a directory", path.display());
-        usage();
-    }
-    if let Err(e) = std::fs::create_dir_all(path) {
-        eprintln!("--cache-dir: cannot create {}: {e}", path.display());
-        usage();
-    }
-    // An explicit write probe: permission bits alone lie to privileged
-    // users, and read-only filesystems only fail on the actual write.
-    let probe = path.join(".stepstore-probe");
-    match std::fs::write(&probe, b"probe") {
-        Ok(()) => {
-            let _ = std::fs::remove_file(&probe);
-        }
-        Err(e) => {
-            eprintln!("--cache-dir: {} is not writable: {e}", path.display());
-            usage();
-        }
-    }
-    path.to_owned()
+/// A runtime failure: the message on stderr, exit 1.
+fn fail(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(1)
+}
+
+/// Loads a circuit file (converting a sequential one combinationally)
+/// and prints its circuit line; exits 1 on failure.
+fn load_comb(path: &str) -> Aig {
+    let loaded = load_file(Path::new(path))
+        .map_err(|e| e.to_string())
+        .and_then(|circuit| {
+            if circuit.is_comb() {
+                return Ok(circuit);
+            }
+            eprintln!("note: sequential circuit, applying comb conversion");
+            circuit.comb().map_err(|e| e.to_string())
+        });
+    let comb = loaded.unwrap_or_else(|e| fail(&e));
+    println!(
+        "{}",
+        table::circuit_line(
+            path,
+            comb.num_inputs() as u64,
+            comb.num_outputs() as u64,
+            comb.and_count() as u64
+        )
+    );
+    comb
 }
 
 /// `step cache <verb> ...` — persistent-store management. Always exits.
 fn cache_command(args: &[String]) -> ! {
-    let open = |dir: &str| match DiskTier::open(Path::new(dir)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cache dir {dir}: {e}");
-            std::process::exit(1);
-        }
+    let open = |dir: &str| {
+        DiskTier::open(Path::new(dir)).unwrap_or_else(|e| fail(&format!("cache dir {dir}: {e}")))
     };
     match (args.first().map(String::as_str), args.len()) {
         (Some("stats"), 2) => {
@@ -408,22 +255,17 @@ fn cache_command(args: &[String]) -> ! {
             for src in &args[2..] {
                 adopted += out.merge_from(&open(src));
             }
-            match out.flush() {
-                Ok(written) => {
-                    println!(
-                        "merged {} store(s) into {}: {adopted} adopted, \
-                         {written} written, {} entries total",
-                        args.len() - 2,
-                        args[1],
-                        out.len()
-                    );
-                    std::process::exit(0);
-                }
-                Err(e) => {
-                    eprintln!("error: flush {}: {e}", args[1]);
-                    std::process::exit(1);
-                }
-            }
+            let written = out
+                .flush()
+                .unwrap_or_else(|e| fail(&format!("flush {}: {e}", args[1])));
+            println!(
+                "merged {} store(s) into {}: {adopted} adopted, \
+                 {written} written, {} entries total",
+                args.len() - 2,
+                args[1],
+                out.len()
+            );
+            std::process::exit(0);
         }
         (Some("verify"), 2) => {
             let tier = open(&args[1]);
@@ -443,101 +285,7 @@ fn cache_command(args: &[String]) -> ! {
             );
             std::process::exit(0);
         }
-        _ => usage(),
-    }
-}
-
-/// The reuse-surface flags shared by the decompose and synthesize
-/// front-ends: result cache, clause bank, persistent store.
-struct ReuseOpts {
-    cache: bool,
-    cache_cap: Option<usize>,
-    clause_reuse: bool,
-    clause_bank_cap: Option<usize>,
-    cache_dir: Option<std::path::PathBuf>,
-}
-
-impl ReuseOpts {
-    /// Builds the run's tiered store: the cache/bank Arcs as tier 0,
-    /// plus the persistent tier when `--cache-dir` was given (already
-    /// vetted writable at parse time; a load failure here means the
-    /// directory changed under us and is worth an exit, not a warn).
-    fn build_store(
-        &self,
-    ) -> (
-        Option<Arc<ResultCache>>,
-        Option<Arc<ClauseBank>>,
-        Arc<TieredStore>,
-    ) {
-        let cache: Option<Arc<ResultCache>> = self.cache.then(|| {
-            Arc::new(match self.cache_cap {
-                Some(cap) => ResultCache::with_capacity(cap),
-                None => ResultCache::new(),
-            })
-        });
-        let bank: Option<Arc<ClauseBank>> = self.clause_reuse.then(|| {
-            Arc::new(match self.clause_bank_cap {
-                Some(cap) => ClauseBank::with_capacity(cap),
-                None => ClauseBank::new(),
-            })
-        });
-        let store: Arc<TieredStore> = match &self.cache_dir {
-            Some(dir) => match TieredStore::with_disk(cache.clone(), bank.clone(), dir) {
-                Ok(s) => Arc::new(s),
-                Err(e) => {
-                    eprintln!("error: cache dir {}: {e}", dir.display());
-                    std::process::exit(1);
-                }
-            },
-            None => Arc::new(TieredStore::memory(cache.clone(), bank.clone())),
-        };
-        (cache, bank, store)
-    }
-}
-
-/// The cache, clause-bank and store statistics lines. They vary with
-/// scheduling under `--jobs`, so callers gate this behind
-/// `--no-timing` together with the wall clocks.
-fn print_reuse_stats(
-    cache: &Option<Arc<ResultCache>>,
-    bank: &Option<Arc<ClauseBank>>,
-    store: &TieredStore,
-) {
-    if let Some(cache) = cache {
-        println!(
-            "cache: {} hits, {} misses, {} inserts, {} evictions, {} entries",
-            cache.hits(),
-            cache.misses(),
-            cache.inserts(),
-            cache.evictions(),
-            cache.len()
-        );
-    }
-    if let Some(bank) = bank {
-        println!(
-            "clause bank: {} hits ({} exact, {} cluster), {} misses, \
-             {} donations, {} entries, {} probe hits, {} probe records",
-            bank.hits(),
-            bank.exact_hits(),
-            bank.cluster_hits(),
-            bank.misses(),
-            bank.donations(),
-            bank.len(),
-            bank.probe_hits(),
-            bank.probe_records()
-        );
-    }
-    if let Some(disk) = store.disk() {
-        println!(
-            "store: {} record(s) loaded, disk hits {} results / {} clauses / \
-             {} probes, {} flushed, {} corrupt",
-            disk.loaded_records(),
-            store.disk_result_hits(),
-            store.disk_clause_hits(),
-            store.disk_probe_hits(),
-            disk.flushed_records(),
-            disk.corrupt_records()
-        );
+        _ => usage_error(USAGE, ""),
     }
 }
 
@@ -611,182 +359,73 @@ const SYNTH_USAGE: &str = "usage: step synthesize <circuit.{bench,blif,aag}> \
     scope (default unlimited here, unlike plain step): every default is pure \
     work, so stdout under --no-timing is byte-identical across --jobs values";
 
-/// Bad `step synthesize` invocation: usage on stderr, exit 2.
-fn synth_usage() -> ! {
-    eprintln!("{SYNTH_USAGE}");
-    std::process::exit(2)
-}
-
 struct SynthCli {
     path: String,
-    model: Model,
     output: Option<usize>,
     jobs: usize,
-    seed: Option<u64>,
-    sat_restarts: RestartPolicy,
-    sat_preprocess: bool,
-    reuse: ReuseOpts,
     no_timing: bool,
     render: bool,
     opts: SynthOptions,
-    qbf_budget: Budget,
+    /// Model, engine flags, per-QBF-call budget and clause reuse.
+    config: DecompConfig,
+    reuse: ReuseFlags,
 }
 
-fn parse_synth_cli(args: &[String]) -> SynthCli {
+fn parse_synth_cli(args: &[String]) -> Result<SynthCli, String> {
     let mut cli = SynthCli {
         path: String::new(),
-        model: Model::QbfDisjoint,
         output: None,
         jobs: 1,
-        seed: None,
-        sat_restarts: RestartPolicy::default(),
-        sat_preprocess: false,
-        reuse: ReuseOpts {
-            cache: true,
-            cache_cap: None,
-            clause_reuse: false,
-            clause_bank_cap: None,
-            cache_dir: None,
-        },
         no_timing: false,
         render: false,
-        opts: SynthOptions {
-            // Deterministic defaults: a pure-work per-node scope keeps
-            // the emitted network independent of machine and --jobs.
-            per_node: Budget::Work(20_000),
-            ..SynthOptions::default()
-        },
-        qbf_budget: Budget::Unlimited,
+        opts: SynthOptions::default(),
+        config: DecompConfig::new(Model::QbfDisjoint),
+        reuse: ReuseFlags::default(),
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--model" => {
-                i += 1;
-                cli.model = match args.get(i).map(String::as_str) {
-                    Some("ljh") => Model::Ljh,
-                    Some("mg") => Model::MusGroup,
-                    Some("qd") => Model::QbfDisjoint,
-                    Some("qb") => Model::QbfBalanced,
-                    Some("qdb") => Model::QbfCombined,
-                    _ => synth_usage(),
-                };
-            }
-            "--output" => {
-                i += 1;
-                cli.output = args.get(i).and_then(|s| s.parse().ok());
-                if cli.output.is_none() {
-                    synth_usage();
-                }
-            }
-            "--jobs" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => cli.jobs = n,
-                    _ => synth_usage(),
-                }
-            }
-            "--seed" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(s) => cli.seed = Some(s),
-                    None => synth_usage(),
-                }
-            }
-            "--sat-restarts" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(p) => cli.sat_restarts = p,
-                    None => synth_usage(),
-                }
-            }
-            "--sat-preprocess" => cli.sat_preprocess = true,
-            "--target-support" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => cli.opts.target_support = n,
-                    _ => synth_usage(),
-                }
-            }
-            "--max-depth" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) => cli.opts.max_depth = Some(n),
-                    None => synth_usage(),
-                }
-            }
+    let mut engine = EngineFlags::default();
+    let mut budgets = BudgetFlags::default();
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--model" => cli.config.model = args.parse(&arg)?,
+            "--output" => cli.output = Some(args.parse(&arg)?),
+            "--jobs" => cli.jobs = args.positive(&arg)?,
+            "--target-support" => cli.opts.target_support = args.positive(&arg)?,
+            "--max-depth" => cli.opts.max_depth = Some(args.parse(&arg)?),
             "--no-bdd-fallback" => cli.opts.bdd_fallback = false,
-            "--bdd-max-support" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) => cli.opts.bdd_max_support = n,
-                    None => synth_usage(),
-                }
-            }
+            "--bdd-max-support" => cli.opts.bdd_max_support = args.parse(&arg)?,
             "--no-verify" => cli.opts.verify = false,
             "--render" => cli.render = true,
-            "--cache" => cli.reuse.cache = true,
-            "--no-cache" => cli.reuse.cache = false,
-            "--cache-cap" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => {
-                        cli.reuse.cache = true;
-                        cli.reuse.cache_cap = Some(n);
-                    }
-                    _ => synth_usage(),
-                }
-            }
-            "--clause-reuse" => cli.reuse.clause_reuse = true,
-            "--no-clause-reuse" => cli.reuse.clause_reuse = false,
-            "--clause-bank-cap" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => {
-                        cli.reuse.clause_reuse = true;
-                        cli.reuse.clause_bank_cap = Some(n);
-                    }
-                    _ => synth_usage(),
-                }
-            }
-            "--cache-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => cli.reuse.cache_dir = Some(validated_cache_dir(Path::new(p))),
-                    None => synth_usage(),
-                }
-            }
             "--no-timing" => cli.no_timing = true,
-            flag @ ("--budget" | "--synth-budget" | "--qbf-budget") => {
-                i += 1;
-                match args.get(i).map(|s| Budget::parse(s)) {
-                    Some(Ok(b)) => match flag {
-                        "--budget" => cli.opts.per_node = b,
-                        "--synth-budget" => cli.opts.synthesis = b,
-                        _ => cli.qbf_budget = b,
-                    },
-                    Some(Err(e)) => {
-                        eprintln!("{flag}: {e}");
-                        synth_usage();
-                    }
-                    None => synth_usage(),
-                }
-            }
-            "--help" | "-h" => {
-                println!("{SYNTH_USAGE}");
-                std::process::exit(0)
-            }
+            "--synth-budget" => cli.opts.synthesis = args.parse(&arg)?,
+            // The whole-synthesis pool is --synth-budget; there is no
+            // per-circuit scope here.
+            "--circuit-budget" => return Err(unknown(&arg)),
+            "--help" | "-h" => help(SYNTH_USAGE),
+            flag if engine.take(flag, &mut args)?
+                || budgets.take(flag, &mut args)?
+                || cli.reuse.take(flag, &mut args)? => {}
             other if cli.path.is_empty() && !other.starts_with('-') => {
                 cli.path = other.to_owned();
             }
-            _ => synth_usage(),
+            other => return Err(unknown(other)),
         }
-        i += 1;
     }
     if cli.path.is_empty() {
-        synth_usage();
+        return Err(String::new());
     }
-    cli
+    engine.apply(&mut cli.config)?;
+    // Deterministic defaults: a pure-work per-node scope (--budget)
+    // keeps the emitted network independent of machine and --jobs.
+    let budget = budgets.resolve(BudgetPolicy {
+        per_qbf_call: Budget::Unlimited,
+        per_output: Budget::Work(20_000),
+        per_circuit: Budget::Unlimited,
+    })?;
+    cli.opts.per_node = budget.per_output;
+    cli.config.budget.per_qbf_call = budget.per_qbf_call;
+    cli.config.clause_reuse = cli.reuse.clause_reuse;
+    Ok(cli)
 }
 
 /// One deterministic row of the synthesis table: network metrics and
@@ -813,49 +452,13 @@ fn synth_row(out: &SynthOutput, no_timing: bool) -> String {
 /// `step synthesize <circuit> ...` — the multi-level synthesis
 /// front-end over [`qbf_bidec::synth`]. Always exits.
 fn synthesize_command(args: &[String]) -> ! {
-    let cli = parse_synth_cli(args);
-    let circuit = match load_file(Path::new(&cli.path)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
-    let comb = if circuit.is_comb() {
-        circuit
-    } else {
-        eprintln!("note: sequential circuit, applying comb conversion");
-        match circuit.comb() {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-    };
-    println!(
-        "{}",
-        table::circuit_line(
-            &cli.path,
-            comb.num_inputs() as u64,
-            comb.num_outputs() as u64,
-            comb.and_count() as u64
-        )
-    );
-
-    let mut config = DecompConfig::new(cli.model);
-    config.sat_restarts = cli.sat_restarts;
-    config.sat_preprocess = cli.sat_preprocess;
-    config.clause_reuse = cli.reuse.clause_reuse;
-    config.budget.per_qbf_call = cli.qbf_budget;
-    if let Some(seed) = cli.seed {
-        config.seed = seed;
-    }
-    let (cache, bank, store) = cli.reuse.build_store();
+    let cli = parse_synth_cli(args).unwrap_or_else(|why| usage_error(SYNTH_USAGE, &why));
+    let comb = load_comb(&cli.path);
+    let store = cli.reuse.build_store().unwrap_or_else(|e| fail(&e));
     // The recursion fans out well past the output count, so the pool
     // is NOT clamped to num_outputs here (unlike plain decomposition).
-    let service = StepService::spawn_with_store(cli.jobs.max(1), Arc::clone(&store));
-    let driver = SynthDriver::new(&service, config, cli.opts.clone());
+    let service = StepService::spawn_with_store(cli.jobs, store);
+    let driver = SynthDriver::new(&service, cli.config.clone(), cli.opts.clone());
 
     let indices: Vec<usize> = match cli.output {
         Some(i) => vec![i],
@@ -899,13 +502,13 @@ fn synthesize_command(args: &[String]) -> ! {
     println!(
         "synthesized {complete}/{total} output(s) to target support {}, {gates} gate(s) ({})",
         driver.options().target_support.max(1),
-        cli.model
+        cli.config.model
     );
-    if let Err(e) = store.flush() {
-        eprintln!("warning: cache flush failed: {e}");
-    }
+    flush_store(service.store());
     if !cli.no_timing {
-        print_reuse_stats(&cache, &bank, &store);
+        for line in stats_lines(service.store()) {
+            println!("{line}");
+        }
     }
     std::process::exit(0)
 }
@@ -922,35 +525,8 @@ fn main() {
         Some("synthesize") => synthesize_command(&raw[1..]),
         _ => {}
     }
-    let cli = parse_cli();
-    let circuit = match load_file(Path::new(&cli.path)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
-    let comb = if circuit.is_comb() {
-        circuit
-    } else {
-        eprintln!("note: sequential circuit, applying comb conversion");
-        match circuit.comb() {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-    };
-    println!(
-        "{}",
-        table::circuit_line(
-            &cli.path,
-            comb.num_inputs() as u64,
-            comb.num_outputs() as u64,
-            comb.and_count() as u64
-        )
-    );
+    let cli = parse_cli(&raw).unwrap_or_else(|why| usage_error(USAGE, &why));
+    let comb = load_comb(&cli.path);
 
     if cli.emit_qdimacs {
         let idx = cli.output.unwrap_or(0);
@@ -974,39 +550,21 @@ fn main() {
     }
 
     if let Some((wd, wb)) = cli.weights {
-        if cli.jobs > 1 {
+        if cli.config.jobs > 1 {
             eprintln!("note: the --weights path runs sequentially; --jobs has no effect");
         }
         run_weighted(&cli, &comb, wd, wb);
         return;
     }
 
-    let mut config = DecompConfig::new(cli.model);
-    config.budget = cli.budget;
-    config.jobs = cli.jobs;
-    config.sat_restarts = cli.sat_restarts;
-    config.sat_preprocess = cli.sat_preprocess;
-    config.clause_reuse = cli.clause_reuse;
-    if let Some(seed) = cli.seed {
-        config.seed = seed;
-    }
-    // One tiered store serves the whole run: the cache/bank Arcs as
-    // tier 0, plus the persistent tier when --cache-dir was given.
-    let (cache, bank, store) = ReuseOpts {
-        cache: cli.cache,
-        cache_cap: cli.cache_cap,
-        clause_reuse: cli.clause_reuse,
-        clause_bank_cap: cli.clause_bank_cap,
-        cache_dir: cli.cache_dir.clone(),
-    }
-    .build_store();
-
+    // One tiered store serves the whole run.
+    let store = cli.reuse.build_store().unwrap_or_else(|e| fail(&e));
     println!("{}", table::header());
     let mut decomposed = 0usize;
     match cli.output {
         // Single output: one session, no queue.
         Some(idx) => {
-            let mut engine = BiDecomposer::new(config);
+            let mut engine = BiDecomposer::new(cli.config.clone());
             engine.set_store(std::sync::Arc::clone(&store));
             match engine.decompose_output(&comb, idx, cli.op) {
                 Ok(out) => {
@@ -1028,15 +586,11 @@ fn main() {
         None => {
             // Clamp the pool to the output count — extra workers would
             // only idle on the queue.
-            let workers = cli.jobs.min(comb.num_outputs()).max(1);
+            let workers = cli.config.jobs.min(comb.num_outputs());
             let service = StepService::spawn_with_store(workers, std::sync::Arc::clone(&store));
-            let mut handle = match service.submit(&comb, cli.op, config) {
-                Ok(h) => h,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                }
-            };
+            let mut handle = service
+                .submit(&comb, cli.op, cli.config.clone())
+                .unwrap_or_else(|e| fail(&e.to_string()));
             let total = handle.num_outputs();
             let mut done = 0usize;
             while let Some(event) = handle.recv() {
@@ -1063,36 +617,29 @@ fn main() {
                     }
                 }
             }
-            match handle.join() {
-                Ok(result) => {
-                    for out in &result.outputs {
-                        if print_result(&cli, out) {
-                            decomposed += 1;
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
+            let result = handle.join().unwrap_or_else(|e| fail(&e.to_string()));
+            for out in &result.outputs {
+                if print_result(&cli, out) {
+                    decomposed += 1;
                 }
             }
         }
     }
-    println!("{}", table::footer(decomposed, &cli.model.to_string()));
-    // Persist whatever the run learnt. A flush failure (disk full,
-    // directory removed mid-run) costs the warm start, not the answers
-    // already printed — warn, don't fail.
-    if let Err(e) = store.flush() {
-        eprintln!("warning: cache flush failed: {e}");
-    }
+    println!(
+        "{}",
+        table::footer(decomposed, &cli.config.model.to_string())
+    );
+    flush_store(&store);
     if !cli.no_timing {
-        print_reuse_stats(&cache, &bank, &store);
+        for line in stats_lines(&store) {
+            println!("{line}");
+        }
     }
 }
 
 /// Weighted run: bootstrap with MG then search the weighted metric
 /// directly on each selected output.
-fn run_weighted(cli: &Cli, comb: &qbf_bidec::aig::Aig, wd: u32, wb: u32) {
+fn run_weighted(cli: &Cli, comb: &Aig, wd: u32, wb: u32) {
     use qbf_bidec::step::mg;
     let indices: Vec<usize> = match cli.output {
         Some(i) => vec![i],
@@ -1109,8 +656,8 @@ fn run_weighted(cli: &Cli, comb: &qbf_bidec::aig::Aig, wd: u32, wb: u32) {
         let core = CoreFormula::build(&cone.aig, cone.root, cli.op);
         let mut oracle = qbf_bidec::step::oracle::PartitionOracle::with_options(
             core.clone(),
-            cli.sat_restarts,
-            cli.sat_preprocess,
+            cli.config.sat_restarts,
+            cli.config.sat_preprocess,
         );
         let start = std::time::Instant::now();
         let mut meter = EffortMeter::unlimited();
@@ -1124,8 +671,8 @@ fn run_weighted(cli: &Cli, comb: &qbf_bidec::aig::Aig, wd: u32, wb: u32) {
             boot.as_ref(),
             qbf_bidec::step::SearchStrategy::MonotoneIncreasing,
             &qbf_bidec::step::qbf_model::ModelOptions {
-                restarts: cli.sat_restarts,
-                preprocess: cli.sat_preprocess,
+                restarts: cli.config.sat_restarts,
+                preprocess: cli.config.sat_preprocess,
                 ..Default::default()
             },
             &mut meter,
@@ -1151,5 +698,8 @@ fn run_weighted(cli: &Cli, comb: &qbf_bidec::aig::Aig, wd: u32, wb: u32) {
             None => println!("{:<16} not decomposable", out.name()),
         }
     }
-    println!("{}", table::footer(decomposed, &cli.model.to_string()));
+    println!(
+        "{}",
+        table::footer(decomposed, &cli.config.model.to_string())
+    );
 }

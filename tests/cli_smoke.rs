@@ -56,12 +56,21 @@ fn help_prints_usage_to_stdout_and_exits_0() {
             "--budget",
             "--circuit-budget",
             "--qbf-budget",
-            "--per-call-ms",
-            "--per-output-s",
             "work:",
         ] {
             assert!(usage.contains(opt), "usage must mention {opt}: {usage}");
         }
+    }
+}
+
+#[test]
+fn removed_legacy_budget_spellings_are_usage_errors() {
+    // `--per-call-ms n` is `--qbf-budget wall:<n>ms` and
+    // `--per-output-s n` is `--budget wall:<n>s` (README migration note).
+    let path = write_two_outputs("legacy");
+    for flag in ["--per-call-ms", "--per-output-s"] {
+        let out = run(step().arg(&path).args([flag, "5"]));
+        assert_eq!(out.status.code(), Some(2), "{flag} is gone");
     }
 }
 

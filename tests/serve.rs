@@ -234,3 +234,24 @@ fn malformed_uploads_get_typed_errors_not_dead_connections() {
     assert!(out.status.success(), "after errors: {:?}", out.stderr);
     server.shutdown();
 }
+
+#[test]
+fn bad_cache_dir_is_a_usage_error_before_binding() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    std::fs::create_dir_all(&dir).expect("create tmp dir");
+    let file = dir.join("serve_cache_dir_blocker");
+    std::fs::write(&file, "not a directory").expect("write blocker file");
+    let out = step()
+        .args(["serve", "--addr", "127.0.0.1:0", "--cache-dir"])
+        .arg(&file)
+        .output()
+        .expect("spawn step serve");
+    assert_eq!(out.status.code(), Some(2), "usage error, not a runtime one");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.contains("is not a directory") && err.contains("usage: step serve"),
+        "why + usage on stderr: {err}"
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(!stdout.contains("listening on"), "never bound: {stdout}");
+}

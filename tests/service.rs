@@ -14,6 +14,7 @@ use std::time::Duration;
 use qbf_bidec::circuits::{registry_table1, Scale};
 use qbf_bidec::step::{
     BiDecomposer, CircuitResult, DecompConfig, GateOp, Model, ResultCache, StepError, StepService,
+    TieredStore,
 };
 
 fn config(model: Model, jobs: usize) -> DecompConfig {
@@ -121,7 +122,10 @@ fn concurrent_submissions_share_cache_hits() {
     let entry = &registry_table1()[16]; // mm9a: small
     let aig = entry.build(Scale::Smoke);
     let cache = Arc::new(ResultCache::new());
-    let service = StepService::with_cache(1, Arc::clone(&cache));
+    let service = StepService::spawn_with_store(
+        1,
+        Arc::new(TieredStore::memory(Some(Arc::clone(&cache)), None)),
+    );
     let first = service
         .submit(&aig, GateOp::Or, config(Model::MusGroup, 1))
         .expect("submit 1");

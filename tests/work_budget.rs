@@ -291,7 +291,7 @@ fn synthesis_work_pool_truncates_identically_across_jobs() {
     // worker count. Clause reuse stays off (the default): with reuse
     // on, the conflicts charged to a *binding* pool are scheduling-
     // dependent (the engine's documented reuse contract).
-    use qbf_bidec::step::StepService;
+    use qbf_bidec::step::{StepService, TieredStore};
     use qbf_bidec::synth::{SynthDriver, SynthOptions, SynthOutput};
 
     let entry = &registry_table1()[2];
@@ -311,7 +311,13 @@ fn synthesis_work_pool_truncates_identically_across_jobs() {
             .collect()
     };
     let mk = |jobs: usize| {
-        let service = StepService::spawn(jobs, Some(Arc::new(ResultCache::new())));
+        let service = StepService::spawn_with_store(
+            jobs,
+            Arc::new(TieredStore::memory(
+                Some(Arc::new(ResultCache::new())),
+                None,
+            )),
+        );
         let opts = SynthOptions {
             per_node: Budget::Work(50),
             synthesis: Budget::Work(120),
